@@ -34,11 +34,8 @@ const (
 	fleetObsOverheadFloor = 500 * time.Microsecond
 )
 
-// startFleetObs is startFleet with per-server protocol vintage and a
-// client-side telemetry sampling rate: legacy(i) servers emulate a
-// pre-capability build, so a mixed fleet exercises both negotiation
-// directions inside one deployment.
-func startFleetObs(plan *shard.Plan, n int, spec func(i int) string, legacy func(i int) bool, sample float64) (*shardNetFleet, error) {
+// startFleetObs is startFleet with a client-side telemetry sampling rate.
+func startFleetObs(plan *shard.Plan, n int, spec func(i int) string, sample float64) (*shardNetFleet, error) {
 	f := &shardNetFleet{}
 	peerSpec := ""
 	for i := 0; i < n; i++ {
@@ -47,9 +44,7 @@ func startFleetObs(plan *shard.Plan, n int, spec func(i int) string, legacy func
 			f.close()
 			return nil, err
 		}
-		srv := shardrpc.NewServer(plan, shardrpc.ServerOptions{
-			Blocks: blocks, BlockSize: BlockSize, LegacyProto: legacy != nil && legacy(i),
-		})
+		srv := shardrpc.NewServer(plan, shardrpc.ServerOptions{Blocks: blocks, BlockSize: BlockSize})
 		addr, err := srv.Listen("127.0.0.1:0")
 		if err != nil {
 			f.close()
@@ -132,8 +127,7 @@ func fleetObsTimedPass(prep ctxSearcher, queries []datagen.Query) (p50, p90 time
 // RunFleetObs measures distributed telemetry overhead and enforces the
 // standing invariant that telemetry never changes answers. One fixed
 // 2-server fleet layout is run at sampling rates 0, 0.01 (production
-// default), and 1.0, plus a mixed-vintage fleet (one legacy server) at
-// rate 1.0. Every mode's answer digest must equal the sequential
+// default), and 1.0. Every mode's answer digest must equal the sequential
 // baseline, and the 1% mode's p50 may not exceed the telemetry-off p50
 // by more than 5% (with an absolute noise floor) — both enforced as
 // errors, not just reported.
@@ -172,19 +166,17 @@ func RunFleetObs() (*Report, error) {
 	type mode struct {
 		name   string
 		sample float64
-		legacy func(int) bool // nil = all current-protocol servers
 	}
 	modes := []mode{
-		{"tel-off", 0, nil},
-		{"tel-1pct", 0.01, nil},
-		{"tel-100pct", 1, nil},
-		{"tel-100pct-mixed-legacy", 1, func(i int) bool { return i == 0 }},
+		{"tel-off", 0},
+		{"tel-1pct", 0.01},
+		{"tel-100pct", 1},
 	}
 
 	var offP50, pctP50 time.Duration
 	for _, m := range modes {
 		plan := shard.NewPlanner(shard.Options{BlockSize: BlockSize}).PlanGraph(g)
-		fleet, err := startFleetObs(plan, 2, func(i int) string { return fmt.Sprintf("%d%%2", i) }, m.legacy, m.sample)
+		fleet, err := startFleetObs(plan, 2, func(i int) string { return fmt.Sprintf("%d%%2", i) }, m.sample)
 		if err != nil {
 			return nil, fmt.Errorf("bench: %s fleet: %w", m.name, err)
 		}
@@ -211,10 +203,10 @@ func RunFleetObs() (*Report, error) {
 		if lossy != 0 {
 			return nil, fmt.Errorf("bench: %s lost coverage on %d queries", m.name, lossy)
 		}
-		// Sanity on the measurement itself: at rate 1.0 on a current fleet
-		// every query must stitch (otherwise the overhead gate below is
-		// vacuous); at rate 0 none may.
-		if m.sample >= 1 && m.legacy == nil && stitched != len(queries) {
+		// Sanity on the measurement itself: at rate 1.0 every query must
+		// stitch (otherwise the overhead gate below is vacuous); at rate 0
+		// none may.
+		if m.sample >= 1 && stitched != len(queries) {
 			return nil, fmt.Errorf("bench: %s stitched %d/%d queries; telemetry did not engage",
 				m.name, stitched, len(queries))
 		}
@@ -245,8 +237,7 @@ func RunFleetObs() (*Report, error) {
 		return nil, fmt.Errorf("bench: telemetry overhead gate failed: p50 %v at 1%% sampling exceeds budget %v (off baseline %v + max(5%%, %v))",
 			pctP50, budget, offP50, fleetObsOverheadFloor)
 	}
-	r.Notef("all modes digest byte-identical to sequential bkws — telemetry on, off, or mixed-vintage never changes answers (enforced)")
+	r.Notef("all modes digest byte-identical to sequential bkws — telemetry on or off never changes answers (enforced)")
 	r.Notef("overhead gate: p50 at 1%% sampling %v vs off %v, budget %v (5%% + %v noise floor) — enforced", pctP50, offP50, budget, fleetObsOverheadFloor)
-	r.Notef("mixed-legacy fleet: one server speaks the pre-capability protocol; telemetry degrades to partial stitching, answers stay identical")
 	return r, nil
 }

@@ -72,7 +72,7 @@ type LedgerSnapshot struct {
 	ShardWork []int64 `json:"shard_work,omitempty"`
 	WorkUnits int64   `json:"work_units"`
 	// Remote* are sums over the per-call ledgers shard peers shipped back
-	// for this query (telemetry-negotiated fleets only). WorkUnits above
+	// for this query (sampled queries on a fleet only). WorkUnits above
 	// already includes remote expansion work — the coordinator counts
 	// every ExpandResponse it absorbs — so RemoteWorkUnits is the
 	// peer-measured cross-check of that same work, and RemoteCPUUS /

@@ -121,9 +121,8 @@ func (s *Server) handleDebugActive(w http.ResponseWriter, r *http.Request) {
 
 // handleDebugFleet reports the shard fleet as the coordinator sees it:
 // one row per configured peer with its breaker health, advertised
-// identity (digest / blocks / block size), negotiated capabilities, and
-// — for peers speaking the Stats RPC — a live resource and counter
-// snapshot from inside the peer process. 404 when the server has no
+// identity (digest / blocks / block size), and a live resource and
+// counter snapshot from inside the peer process. 404 when the server has no
 // shard client (single-process deployments have no fleet to report).
 func (s *Server) handleDebugFleet(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {

@@ -205,7 +205,7 @@ func TestRemoteShardLossDegradesAndRecovers(t *testing.T) {
 
 // TestRemoteFleetDebugAndPeerAttribution covers the fleet-facing
 // observability surface at the HTTP layer: /debug/fleet reports the peer
-// with negotiated telemetry and a live Stats snapshot, a traced query
+// with its live Stats snapshot, a traced query
 // leaves a stitched multi-process trace in the flight recorder, and
 // killing the peer yields a degraded response whose coverage block names
 // the failing peer address.
@@ -234,8 +234,8 @@ func TestRemoteFleetDebugAndPeerAttribution(t *testing.T) {
 	kw := popularTerm(ds)
 	path := "/query?q=" + kw + "&algo=bkws&shards=2&k=5&layer=0&nocache=1"
 
-	// Fleet view while healthy: the one peer row carries negotiated
-	// telemetry and an in-process stats snapshot.
+	// Fleet view while healthy: the one peer row carries an in-process
+	// stats snapshot.
 	rec, fleet := get(t, s, "/debug/fleet")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("/debug/fleet: %d: %s", rec.Code, rec.Body.String())
@@ -245,7 +245,7 @@ func TestRemoteFleetDebugAndPeerAttribution(t *testing.T) {
 		t.Fatalf("fleet peers = %v", fleet["peers"])
 	}
 	row, _ := rows[0].(map[string]interface{})
-	if row["addr"] != addr || row["telemetry"] != true {
+	if row["addr"] != addr {
 		t.Fatalf("fleet row: %v", row)
 	}
 	if st, _ := row["stats"].(map[string]interface{}); st == nil || st["gomaxprocs"].(float64) < 1 {

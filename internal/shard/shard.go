@@ -23,8 +23,8 @@
 // answers from the immutable plan alone — no per-query state lives on the
 // shard side. Statelessness is what makes the network boundary
 // (internal/shardrpc) survivable: a round request is a pure function of
-// (plan, request), so it can be retried, duplicated, hedged, or failed
-// over to a different replica mid-query with no resynchronization and no
+// (plan, request), so it can be retried, duplicated, or failed over to a
+// different replica mid-query with no resynchronization and no
 // risk of double-counting — the coordinator's mirror is the only
 // authority on what is settled (see DESIGN.md §9).
 //
@@ -126,7 +126,7 @@ type ExpandResponse struct {
 // expansion (bidir's verification phase): exact minimum distances from
 // each root to every query label within DMax. Verification reads only the
 // immutable graph, so any shard or replica can serve any root — like
-// Expand it is a pure function of the plan, retryable and hedgeable.
+// Expand it is a pure function of the plan, retryable on any replica.
 type VerifyRequest struct {
 	Labels []graph.Label
 	DMax   int

@@ -9,7 +9,6 @@ import (
 	"hash/fnv"
 	"log/slog"
 	"net"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,17 +28,12 @@ const (
 	defaultBackoffMax     = 250 * time.Millisecond
 	defaultBreakThreshold = 3
 	defaultBreakCooldown  = time.Second
-	defaultHedgeDelay     = 50 * time.Millisecond // until p99 samples exist
-	minHedgeDelay         = 2 * time.Millisecond
-	maxHedgeDelay         = 200 * time.Millisecond
-	latWindowSize         = 128
 )
 
 // Metrics is the client-side instrument set.
 type Metrics struct {
 	Calls        *obs.CounterVec   // op, outcome: ok|remote_error|network_error
 	Retries      *obs.Counter      // attempts beyond the first
-	Hedges       *obs.CounterVec   // outcome: won|lost
 	BreakerOpens *obs.Counter      // closed/half-open -> open transitions
 	Seconds      *obs.HistogramVec // op
 
@@ -58,8 +52,6 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 			"Shard RPC attempts by operation and outcome.", "op", "outcome"),
 		Retries: reg.Counter("bigindex_shardrpc_retries_total",
 			"Shard RPC attempts beyond the first for a call."),
-		Hedges: reg.CounterVec("bigindex_shardrpc_hedges_total",
-			"Hedged shard RPC attempts by outcome.", "outcome"),
 		BreakerOpens: reg.Counter("bigindex_shardrpc_breaker_opens_total",
 			"Per-peer circuit breaker open transitions."),
 		Seconds: reg.HistogramVec("bigindex_shardrpc_call_seconds",
@@ -99,23 +91,15 @@ type ClientOptions struct {
 	BreakerThreshold int64
 	BreakerCooldown  time.Duration
 
-	// Hedge fires a second attempt at a different replica when the first
-	// is slower than the observed p99 — tail latency insurance, sound
-	// because requests are pure.
-	Hedge bool
-	// HedgeDelay overrides the p99-derived hedge delay (0: derive).
-	HedgeDelay time.Duration
-
 	// MaxIdleConns caps pooled connections per peer.
 	MaxIdleConns int
 
 	// TelemetrySample is the head-sampling probability for distributed
 	// tracing: a query whose trace hashes under it carries a telemetry
-	// header on every shard RPC (to peers that negotiated capTelemetry),
-	// and the peers' span/ledger summaries are stitched back into the
-	// query's trace. 0 disables (the default); answers are byte-identical
-	// either way. The decision is a deterministic hash of the trace ID so
-	// every call of one query agrees.
+	// header on every shard RPC, and the peers' span/ledger summaries are
+	// stitched back into the query's trace. 0 disables (the default);
+	// answers are byte-identical either way. The decision is a
+	// deterministic hash of the trace ID so every call of one query agrees.
 	TelemetrySample float64
 
 	// Dial replaces net.DialTimeout — the fault-injection hook.
@@ -138,12 +122,11 @@ type PeerHealth struct {
 // Client fans shard rounds out to replica peers, surviving slow, dead,
 // lying, and half-open networks: per-attempt deadlines carved from the
 // caller's budget, retries with full-jitter backoff, failover across
-// replicas, optional hedging, and a circuit breaker per peer.
+// replicas, and a circuit breaker per peer.
 type Client struct {
 	opt   ClientOptions
 	peers []*peer
 	rr    atomic.Uint64 // round-robin cursor, decorrelates replica choice
-	lat   latWindow
 	// knownBlocks is the block count learned from hellos, for
 	// CoverageFloor before any plan is bound.
 	knownBlocks atomic.Int64
@@ -213,12 +196,7 @@ func (c *Client) Peers() int { return len(c.peers) }
 func (c *Client) Close() {
 	c.closed.Store(true)
 	for _, p := range c.peers {
-		p.mu.Lock()
-		for _, pc := range p.idle {
-			pc.conn.Close()
-		}
-		p.idle = nil
-		p.mu.Unlock()
+		p.closeIdle()
 	}
 }
 
@@ -229,13 +207,11 @@ type peer struct {
 	spec    BlockSpec
 	breaker *retry.Breaker
 
-	mu   sync.Mutex
-	idle []*pconn
+	mu     sync.Mutex
+	idle   []*pconn
+	flight *helloFlight // the hello in flight to this peer, if any
 
 	hello atomic.Pointer[HelloInfo] // cached, cleared on transport error
-	// caps is the capability set negotiated in the last hello; cleared
-	// with the hello cache so a restarted peer renegotiates from scratch.
-	caps  atomic.Uint32
 	calls atomic.Int64
 
 	errMu   sync.Mutex
@@ -252,6 +228,17 @@ func (p *peer) lastError() string {
 	p.errMu.Lock()
 	defer p.errMu.Unlock()
 	return p.lastErr
+}
+
+// closeIdle closes and forgets the peer's pooled connections.
+func (p *peer) closeIdle() {
+	p.mu.Lock()
+	idle := p.idle
+	p.idle = nil
+	p.mu.Unlock()
+	for _, pc := range idle {
+		pc.conn.Close()
+	}
 }
 
 // pconn is one pooled connection with its per-connection reqID sequence.
@@ -298,7 +285,6 @@ func (c *Client) putConn(p *peer, pc *pconn) {
 type attemptResult struct {
 	payload []byte
 	err     error
-	peer    *peer
 }
 
 // frameOverhead is the fixed per-frame wire cost beyond the payload:
@@ -362,30 +348,17 @@ func (c *Client) attempt(p *peer, mt byte, payload []byte, wantType byte, timeou
 }
 
 // attemptAsync runs attempt in the background and settles its bookkeeping
-// (breaker, metrics, latency window) itself — so an abandoned hedge or a
-// caller that gave up on the context still updates peer health correctly.
-// The telemetry header is appended here, per attempt, because capability
-// is a per-peer fact: the same call may hit a telemetry-negotiated peer
-// on one attempt and a legacy peer on the failover.
+// (breaker, metrics) itself — so a caller that gave up on the context
+// still updates peer health correctly. A sampled call (tel != nil)
+// carries the telemetry header.
 func (c *Client) attemptAsync(p *peer, op string, mt byte, payload []byte, wantType byte, timeout time.Duration, tel *Telemetry) <-chan attemptResult {
-	if tel != nil {
-		// The tail decision needs the peer's negotiated capabilities; on a
-		// cold peer force the hello now (helloPeer itself passes tel=nil,
-		// so this cannot recurse). Best-effort: if the hello fails, the
-		// attempt below fails the same way.
-		if p.hello.Load() == nil {
-			c.helloPeer(p)
-		}
-		if p.caps.Load()&capTelemetry != 0 {
-			payload = appendTelemetry(payload, tel)
-		}
-	}
+	payload = appendTelemetry(payload, tel)
 	ch := make(chan attemptResult, 1)
 	go func() {
 		start := time.Now()
 		out, err := c.attempt(p, mt, payload, wantType, timeout)
 		c.settle(p, op, err, time.Since(start), tel)
-		ch <- attemptResult{payload: out, err: err, peer: p}
+		ch <- attemptResult{payload: out, err: err}
 	}()
 	return ch
 }
@@ -406,7 +379,6 @@ func (c *Client) settle(p *peer, op string, err error, elapsed time.Duration, te
 	switch {
 	case err == nil:
 		p.breaker.Success()
-		c.lat.observe(elapsed)
 		if m != nil {
 			m.Calls.With(op, "ok").Inc()
 			m.PeerCalls.With(p.addr, op, "ok").Inc()
@@ -429,8 +401,11 @@ func (c *Client) settle(p *peer, op string, err error, elapsed time.Duration, te
 			c.opt.Logger.Warn("shardrpc: peer breaker opened", "peer", p.addr, "err", err)
 		}
 		p.noteErr(err)
-		p.hello.Store(nil) // the process may come back with different data
-		p.caps.Store(0)    // ...and different capabilities: renegotiate
+		// The process behind the address may have died: its other pooled
+		// connections are as suspect as its cached hello, and a restart
+		// may serve different data, so the next data call re-hellos.
+		p.hello.Store(nil)
+		p.closeIdle()
 		if m != nil {
 			m.Calls.With(op, "network_error").Inc()
 			m.PeerCalls.With(p.addr, op, "network_error").Inc()
@@ -443,7 +418,7 @@ func (c *Client) settle(p *peer, op string, err error, elapsed time.Duration, te
 	}
 }
 
-// --- call: retry, failover, hedging, budget ---
+// --- call: retry, failover, budget ---
 
 // replicasFor lists the peers serving block (block < 0: every peer — used
 // for Verify, which any replica of the full graph can answer).
@@ -487,9 +462,8 @@ func (e *PeerFailure) FailedPeers() []string { return e.Peers }
 
 // CallLog counts shard RPC attempts by peer address for one query. The
 // server installs one in the query context; the client records every
-// attempt (including fired hedges) into it; the query log persists the
-// snapshot. All methods are nil-safe, so the client records
-// unconditionally.
+// attempt into it; the query log persists the snapshot. All methods are
+// nil-safe, so the client records unconditionally.
 type CallLog struct {
 	mu       sync.Mutex
 	attempts map[string]int64
@@ -555,7 +529,6 @@ func CallLogFromContext(ctx context.Context) *CallLog {
 type callMeta struct {
 	peer     string
 	attempts int
-	hedged   bool
 }
 
 // call runs one idempotent exchange against block's replicas until it
@@ -594,10 +567,13 @@ func (c *Client) call(ctx context.Context, op string, block int, mt byte, payloa
 		if remaining <= 0 {
 			break
 		}
+		// Probeable, not Allow: a peer whose cooldown elapsed is admitted
+		// through the hello probe in oneAttempt, which concurrent callers
+		// share instead of being refused while it runs.
 		var p *peer
 		for i := 0; i < len(replicas); i++ {
 			cand := replicas[(start+attempt+i)%len(replicas)]
-			if cand.breaker.Allow() {
+			if cand.breaker.Probeable() {
 				p = cand
 				break
 			}
@@ -618,24 +594,20 @@ func (c *Client) call(ctx context.Context, op string, block int, mt byte, payloa
 		// The attempt span exists so /debug/active's current path names the
 		// peer a blocked query is waiting on ("…>rpc:expand>peer:<addr>").
 		attemptSpan := obs.SpanFromContext(ctx).StartChild("peer:" + p.addr)
-		res := c.oneAttempt(ctx, p, replicas, op, mt, payload, wantType, slice, attempt == 0, tel, cl)
+		out, err := c.oneAttempt(ctx, p, op, mt, payload, wantType, slice, tel)
 		attemptSpan.End()
-		if res.err == nil {
-			meta.peer = res.peer.addr
+		if err == nil {
+			meta.peer = p.addr
 			meta.attempts = attempt + 1
-			meta.hedged = res.peer != p
-			return res.payload, meta, nil
-		}
-		if res.peer != nil {
-			tried = appendPeerOnce(tried, res.peer.addr)
+			return out, meta, nil
 		}
 		if ctx.Err() != nil {
 			return nil, meta, ctx.Err()
 		}
-		if terminal(res.err) {
-			return nil, meta, res.err
+		if terminal(err) {
+			return nil, meta, err
 		}
-		lastErr = res.err
+		lastErr = err
 		// Backoff before the next attempt — full jitter, skipped when the
 		// sleep would outlive the budget anyway.
 		if attempt+1 < maxAttempts {
@@ -685,138 +657,114 @@ func attemptSlice(remaining time.Duration, attemptsLeft int, floor time.Duration
 	return slice
 }
 
-// oneAttempt runs a single attempt, optionally hedged: when the primary
-// is slower than the p99-derived delay, a second replica gets the same
-// pure request and the first answer wins. The loser's goroutine settles
-// its own bookkeeping whenever it finishes.
-func (c *Client) oneAttempt(ctx context.Context, p *peer, replicas []*peer, op string, mt byte, payload []byte, wantType byte, timeout time.Duration, allowHedge bool, tel *Telemetry, cl *CallLog) attemptResult {
-	primary := c.attemptAsync(p, op, mt, payload, wantType, timeout, tel)
-	var hedge *peer
-	if allowHedge && c.opt.Hedge {
-		for _, cand := range replicas {
-			if cand != p && cand.breaker.Allow() {
-				hedge = cand
-				break
-			}
-		}
+// oneAttempt sends one data call to p, after a hello when p has no
+// valid cached one, and waits for the answer or ctx. The hello and the
+// call share the attempt's timeout, but the call keeps at least
+// MinAttemptTimeout (or the whole timeout, when that is smaller), so a
+// slow hello cannot doom it to a socket timeout that would count against
+// a healthy peer.
+func (c *Client) oneAttempt(ctx context.Context, p *peer, op string, mt byte, payload []byte, wantType byte, timeout time.Duration, tel *Telemetry) ([]byte, error) {
+	start := time.Now()
+	if _, err := c.hello(ctx, p, timeout); err != nil {
+		return nil, err
 	}
-	if hedge == nil {
-		select {
-		case res := <-primary:
-			return res
-		case <-ctx.Done():
-			return attemptResult{err: ctx.Err()}
-		}
-	}
-	timer := time.NewTimer(c.hedgeDelay())
-	defer timer.Stop()
+	timeout = max(timeout-time.Since(start), min(timeout, c.opt.MinAttemptTimeout))
 	select {
-	case res := <-primary:
-		return res
+	case res := <-c.attemptAsync(p, op, mt, payload, wantType, timeout, tel):
+		return res.payload, res.err
 	case <-ctx.Done():
-		return attemptResult{err: ctx.Err()}
-	case <-timer.C:
+		return nil, ctx.Err()
 	}
-	cl.Record(hedge.addr)
-	second := c.attemptAsync(hedge, op, mt, payload, wantType, timeout, tel)
-	var firstErr attemptResult
-	for i := 0; i < 2; i++ {
-		var res attemptResult
-		select {
-		case res = <-primary:
-		case res = <-second:
-		case <-ctx.Done():
-			return attemptResult{err: ctx.Err()}
-		}
-		if res.err == nil {
-			if m := c.opt.Metrics; m != nil {
-				if res.peer == hedge {
-					m.Hedges.With("won").Inc()
-				} else {
-					m.Hedges.With("lost").Inc()
-				}
-			}
-			return res
-		}
-		if i == 0 {
-			firstErr = res
-		}
-	}
-	return firstErr
-}
-
-func (c *Client) hedgeDelay() time.Duration {
-	if c.opt.HedgeDelay > 0 {
-		return c.opt.HedgeDelay
-	}
-	d := c.lat.p99()
-	if d == 0 {
-		return defaultHedgeDelay
-	}
-	if d < minHedgeDelay {
-		d = minHedgeDelay
-	}
-	if d > maxHedgeDelay {
-		d = maxHedgeDelay
-	}
-	return d
-}
-
-// --- latency window (hedge delay source) ---
-
-type latWindow struct {
-	mu  sync.Mutex
-	buf [latWindowSize]time.Duration
-	n   int // filled
-	i   int // next slot
-}
-
-func (l *latWindow) observe(d time.Duration) {
-	l.mu.Lock()
-	l.buf[l.i] = d
-	l.i = (l.i + 1) % len(l.buf)
-	if l.n < len(l.buf) {
-		l.n++
-	}
-	l.mu.Unlock()
-}
-
-func (l *latWindow) p99() time.Duration {
-	l.mu.Lock()
-	n := l.n
-	samples := make([]time.Duration, n)
-	copy(samples, l.buf[:n])
-	l.mu.Unlock()
-	if n == 0 {
-		return 0
-	}
-	sort.Slice(samples, func(a, b int) bool { return samples[a] < samples[b] })
-	idx := n * 99 / 100
-	if idx >= n {
-		idx = n - 1
-	}
-	return samples[idx]
 }
 
 // --- hello / plan binding ---
 
-// helloPeer returns the peer's advertisement, cached until a transport
-// error suggests the process behind the address may have changed.
-func (c *Client) helloPeer(p *peer) (HelloInfo, error) {
-	if info := p.hello.Load(); info != nil {
-		return *info, nil
+// helloFlight is one hello in flight to a peer, shared by every caller
+// that needs that peer's hello while it runs.
+type helloFlight struct {
+	done chan struct{}
+	info HelloInfo
+	err  error
+}
+
+// ready returns p's cached hello when p may take data calls without a
+// new one: the hello is cached and the breaker is closed.
+func (p *peer) ready() (HelloInfo, bool) {
+	info := p.hello.Load()
+	if info == nil || p.breaker.State() != retry.Closed {
+		return HelloInfo{}, false
 	}
-	res := <-c.attemptAsync(p, "hello", msgHello, encodeHello(localCaps), msgHelloOK, c.opt.DialTimeout, nil)
-	if res.err != nil {
-		return HelloInfo{}, res.err
+	return *info, true
+}
+
+// hello returns p's advertisement once p is known to speak this
+// protocol version. While the breaker is closed the cached hello
+// answers. Otherwise one caller sends a hello — the half-open probe,
+// when the breaker's cooldown has elapsed — and every concurrent caller
+// waits for its outcome, up to its own timeout. The cache is cleared on
+// every transport error, so a restarted peer is checked again before
+// its next data call; in steady state no hello is sent.
+func (c *Client) hello(ctx context.Context, p *peer, timeout time.Duration) (HelloInfo, error) {
+	if info, ok := p.ready(); ok {
+		return info, nil
 	}
-	info, caps, err := decodeHelloOKCaps(res.payload)
+	if !p.breaker.Probeable() {
+		return HelloInfo{}, fmt.Errorf("shardrpc: peer %s has an open breaker", p.addr)
+	}
+	p.mu.Lock()
+	if info, ok := p.ready(); ok { // a flight landed since the check above
+		p.mu.Unlock()
+		return info, nil
+	}
+	f := p.flight
+	if f == nil {
+		f = &helloFlight{done: make(chan struct{})}
+		p.flight = f
+		go func() {
+			f.info, f.err = c.sendHello(p, timeout)
+			p.mu.Lock()
+			p.flight = nil
+			p.mu.Unlock()
+			close(f.done)
+		}()
+	}
+	p.mu.Unlock()
+	t := time.NewTimer(timeout)
+	defer t.Stop()
+	select {
+	case <-f.done:
+		return f.info, f.err
+	case <-ctx.Done():
+		return HelloInfo{}, ctx.Err()
+	case <-t.C:
+		return HelloInfo{}, fmt.Errorf("shardrpc: hello to %s still in flight after %v", p.addr, timeout)
+	}
+}
+
+// sendHello runs one hello exchange with p. The breaker admits it like
+// any request — as the half-open probe after a cooldown — and settle
+// books its outcome, so a successful probe closes the breaker before the
+// cached hello releases any waiter. A peer that answers on another
+// protocol version, or with a HelloOK this build cannot decode, is alive
+// (its breaker stays closed) but gets an ErrCodeVersion error and no
+// cached hello, so no data call is ever routed to it.
+func (c *Client) sendHello(p *peer, timeout time.Duration) (HelloInfo, error) {
+	if !p.breaker.Allow() {
+		return HelloInfo{}, fmt.Errorf("shardrpc: peer %s has an open breaker", p.addr)
+	}
+	start := time.Now()
+	payload, err := c.attempt(p, msgHello, encodeHello(protoVersion), msgHelloOK, timeout)
+	c.settle(p, "hello", err, time.Since(start), nil)
 	if err != nil {
 		return HelloInfo{}, err
 	}
-	// Store caps before hello: readers treat a cached hello as "negotiated",
-	// so the capability set must already be visible when they see it.
-	p.caps.Store(caps)
+	info, err := decodeHelloOK(payload)
+	if err != nil || info.Version != protoVersion {
+		verr := &RemoteError{Code: ErrCodeVersion, Msg: fmt.Sprintf(
+			"peer answered hello with protocol version %d, client speaks %d", info.Version, protoVersion)}
+		p.noteErr(verr)
+		return HelloInfo{}, verr
+	}
 	p.hello.Store(&info)
 	c.knownBlocks.Store(int64(info.Blocks))
 	return info, nil
@@ -824,6 +772,7 @@ func (c *Client) helloPeer(p *peer) (HelloInfo, error) {
 
 // ServesPlan reports whether this fleet can serve the plan: at least one
 // reachable peer advertises the same digest, block count, and block size.
+// A peer on another protocol version is reachable but matches nothing.
 // When no peer is reachable at all it reports true — optimistically, so a
 // transient full outage degrades queries (with coverage annotations)
 // instead of silently reverting to a mode the operator didn't configure;
@@ -833,8 +782,12 @@ func (c *Client) ServesPlan(plan *shard.Plan) bool {
 	nb := plan.NumBlocks()
 	reachable, matched := 0, 0
 	for _, p := range c.peers {
-		info, err := c.helloPeer(p)
+		info, err := c.hello(context.Background(), p, c.opt.DialTimeout)
 		if err != nil {
+			var re *RemoteError
+			if errors.As(err, &re) && re.Code == ErrCodeVersion {
+				reachable++
+			}
 			continue
 		}
 		reachable++
@@ -872,7 +825,7 @@ func (b *bound) Expand(ctx context.Context, req *shard.ExpandRequest) (*shard.Ex
 		rpcSpan.SetAttr("error", err.Error()).End()
 		return nil, err
 	}
-	resp, summary, derr := decodeExpandOKFull(payload)
+	resp, summary, derr := decodeExpandOK(payload)
 	b.finishRPC(ctx, rpcSpan, req.Block, meta, summary)
 	if derr != nil {
 		return nil, derr
@@ -891,7 +844,7 @@ func (b *bound) Verify(ctx context.Context, req *shard.VerifyRequest) (*shard.Ve
 		rpcSpan.SetAttr("error", err.Error()).End()
 		return nil, err
 	}
-	resp, summary, derr := decodeVerifyOKFull(payload)
+	resp, summary, derr := decodeVerifyOK(payload)
 	b.finishRPC(ctx, rpcSpan, -1, meta, summary)
 	if derr != nil {
 		return nil, derr
@@ -912,9 +865,6 @@ func (b *bound) finishRPC(ctx context.Context, rpcSpan *obs.Span, block int, met
 		}
 		if meta.attempts > 1 {
 			rpcSpan.SetAttr("attempts", meta.attempts)
-		}
-		if meta.hedged {
-			rpcSpan.SetAttr("hedged", true)
 		}
 	}
 	if len(summary) > 0 {
@@ -1010,24 +960,22 @@ func (c *Client) healthyPeers() []*peer {
 }
 
 // PeerFleetInfo is one peer's entry in a fleet snapshot: its health, the
-// identity it advertised in hello (digest/blocks/block size), the
-// capabilities it negotiated, and — when it speaks capStats — the live
-// resource/counter snapshot its Stats RPC returned.
+// identity it advertised in hello (digest/blocks/block size), and the
+// live resource/counter snapshot its Stats RPC returned.
 type PeerFleetInfo struct {
 	PeerHealth
 	Digest    string     `json:"digest,omitempty"`
 	NumBlocks int        `json:"num_blocks,omitempty"`
 	BlockSize int        `json:"block_size,omitempty"`
-	Telemetry bool       `json:"telemetry"`
 	Stats     *StatsInfo `json:"stats,omitempty"`
 	StatsErr  string     `json:"stats_error,omitempty"`
 }
 
 // FleetSnapshot polls every configured peer — hello (cached when fresh)
-// plus a Stats RPC where the peer negotiated capStats — and returns one
-// entry per peer, in configuration order. Peers are polled concurrently;
-// an unreachable peer contributes its health row with the error, never a
-// failure of the snapshot. Backs GET /debug/fleet.
+// plus a Stats RPC — and returns one entry per peer, in configuration
+// order. Peers are polled concurrently; an unreachable peer contributes
+// its health row with the error, never a failure of the snapshot. Backs
+// GET /debug/fleet.
 func (c *Client) FleetSnapshot(ctx context.Context) []PeerFleetInfo {
 	health := c.Health()
 	out := make([]PeerFleetInfo, len(c.peers))
@@ -1037,7 +985,7 @@ func (c *Client) FleetSnapshot(ctx context.Context) []PeerFleetInfo {
 		wg.Add(1)
 		go func(i int, p *peer) {
 			defer wg.Done()
-			info, err := c.helloPeer(p)
+			info, err := c.hello(ctx, p, c.opt.DialTimeout)
 			if err != nil {
 				out[i].StatsErr = err.Error()
 				return
@@ -1045,14 +993,6 @@ func (c *Client) FleetSnapshot(ctx context.Context) []PeerFleetInfo {
 			out[i].Digest = fmt.Sprintf("%016x", info.Digest)
 			out[i].NumBlocks = info.Blocks
 			out[i].BlockSize = info.BlockSize
-			caps := p.caps.Load()
-			out[i].Telemetry = caps&capTelemetry != 0
-			if caps&capStats == 0 {
-				// Pre-capability peer: msgStats would kill its connection
-				// (old readFrame treats unknown types as protocol errors),
-				// so don't even ask.
-				return
-			}
 			res := <-c.attemptAsync(p, "stats", msgStats, nil, msgStatsOK, c.opt.DialTimeout, nil)
 			if res.err != nil {
 				out[i].StatsErr = res.err.Error()

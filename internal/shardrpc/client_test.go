@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -132,7 +133,8 @@ func TestClientMatchesLocal(t *testing.T) {
 	_, addrA := startServer(t, plan, ServerOptions{Blocks: evens})
 	_, addrB := startServer(t, plan, ServerOptions{Blocks: odds})
 
-	c := NewClient(ClientOptions{Peers: mustPeers(t, fmt.Sprintf("%s=0%%2;%s=1%%2", addrA, addrB))})
+	m := NewMetrics(obs.NewRegistry())
+	c := NewClient(ClientOptions{Peers: mustPeers(t, fmt.Sprintf("%s=0%%2;%s=1%%2", addrA, addrB)), Metrics: m})
 	defer c.Close()
 	if !c.ServesPlan(plan) {
 		t.Fatal("split fleet should serve the plan")
@@ -166,6 +168,12 @@ func TestClientMatchesLocal(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("verify: got %+v want %+v", got, want)
+	}
+	// The hellos ServesPlan sent stay cached: the data calls add none.
+	for _, addr := range []string{addrA, addrB} {
+		if n := m.PeerCalls.With(addr, "hello", "ok").Value(); n != 1 {
+			t.Fatalf("peer %s got %d hellos, want 1", addr, n)
+		}
 	}
 }
 
@@ -387,69 +395,118 @@ func TestStaleReplicaFailsOver(t *testing.T) {
 	}
 }
 
-// TestHedgingWinsOnSlowReplica wires one deliberately slow replica and
-// one fast one with hedging on: hedged attempts must fire and win.
-func TestHedgingWinsOnSlowReplica(t *testing.T) {
-	g := testGraph(9, 60)
+// TestHalfOpenProbeAdmitsConcurrentCallers brings a peer back while its
+// breaker is open. Once the cooldown has elapsed, one hello probes the
+// peer and every concurrent call waits for that probe instead of being
+// refused. Readiness (Probeable, CoverageFloor) must agree with what the
+// calls actually get, while the breaker cools down and after the probe.
+func TestHalfOpenProbeAdmitsConcurrentCallers(t *testing.T) {
+	g := testGraph(9, 80)
 	plan := testPlan(t, g, 16)
+	srv, first := startServer(t, plan, ServerOptions{})
 
-	slowSrv := NewServer(plan, ServerOptions{})
-	slowLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	slowSrv.ServeListener(&slowListener{Listener: slowLn, delay: 150 * time.Millisecond})
-	defer slowSrv.Close()
-	_, fast := startServer(t, plan, ServerOptions{})
-
-	reg := obs.NewRegistry()
-	m := NewMetrics(reg)
+	// The client dials whatever address target holds, so the peer can come
+	// back on a fresh port without waiting for the old one to free.
+	var target atomic.Value
+	target.Store(first)
+	const cooldown = 250 * time.Millisecond
+	m := NewMetrics(obs.NewRegistry())
 	c := NewClient(ClientOptions{
-		Peers:      mustPeers(t, slowLn.Addr().String()+";"+fast),
-		Hedge:      true,
-		HedgeDelay: 10 * time.Millisecond,
-		Metrics:    m,
+		Peers:            mustPeers(t, "peer"),
+		BreakerThreshold: 1,
+		BreakerCooldown:  cooldown,
+		CallTimeout:      2 * time.Second,
+		Metrics:          m,
+		Dial: func(_ string, timeout time.Duration) (net.Conn, error) {
+			return net.DialTimeout("tcp", target.Load().(string), timeout)
+		},
 	})
 	defer c.Close()
 	bnd := c.For(plan)
+	p := c.peers[0]
+	hellos := func() int64 { return m.PeerCalls.With("peer", "hello", "ok").Value() }
 	req := &shard.ExpandRequest{Kw: 0, Block: 0, Level: 0, Frontier: seedFrontier(plan, g.DistinctLabels()[0], 0)}
-	local := shard.NewLocal(plan)
-	want, _ := local.Expand(context.Background(), req)
-	for i := 0; i < 6; i++ {
-		got, err := bnd.Expand(context.Background(), req)
+	want, _ := shard.NewLocal(plan).Expand(context.Background(), req)
+	if _, err := bnd.Expand(context.Background(), req); err != nil {
+		t.Fatal(err)
+	}
+	// Pool two connections, as a busy coordinator would. The failure below
+	// uses one; the other must be dropped with it, or the probe after the
+	// outage would pick up a dead connection and fail.
+	var pooled [2]*pconn
+	for i := range pooled {
+		pc, err := c.getConn(p, time.Second)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("hedged call %d wrong answer", i)
+		pooled[i] = pc
+	}
+	for _, pc := range pooled {
+		c.putConn(p, pc)
+	}
+
+	// Outage: the first failure opens the breaker. While it cools down,
+	// readiness says no and a call is refused without touching the peer.
+	srv.Kill()
+	if _, err := bnd.Expand(context.Background(), req); err == nil {
+		t.Fatal("call to a killed peer succeeded")
+	}
+	attempts := p.calls.Load()
+	if p.breaker.State() != retry.Open || p.breaker.Probeable() || c.CoverageFloor() != 0 {
+		t.Fatalf("cooling down: state %v probeable %v floor %v, want open/false/0",
+			p.breaker.State(), p.breaker.Probeable(), c.CoverageFloor())
+	}
+	if _, err := bnd.Expand(context.Background(), req); err == nil {
+		t.Fatal("call admitted while the breaker cools down")
+	}
+	if p.calls.Load() != attempts {
+		t.Fatal("a refused call still sent a request to the peer")
+	}
+
+	// Recovery: the peer is back and the cooldown has elapsed. Readiness
+	// says yes, so every one of n concurrent calls must be admitted on its
+	// first attempt, behind one shared hello probe.
+	_, second := startServer(t, plan, ServerOptions{})
+	target.Store(second)
+	for end := time.Now().Add(10 * cooldown); !p.breaker.Probeable() && time.Now().Before(end); {
+		time.Sleep(cooldown / 10)
+	}
+	if p.breaker.State() != retry.Open || !p.breaker.Probeable() || c.CoverageFloor() != 1 {
+		t.Fatalf("cooled down: state %v probeable %v floor %v, want open/true/1",
+			p.breaker.State(), p.breaker.Probeable(), c.CoverageFloor())
+	}
+	hellosBefore, retriesBefore := hellos(), m.Retries.Value()
+	const n = 48
+	errs := make([]error, n)
+	gate := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-gate
+			got, err := bnd.Expand(context.Background(), req)
+			if err == nil && !reflect.DeepEqual(got, want) {
+				err = fmt.Errorf("wrong answer %+v", got)
+			}
+			errs[i] = err
+		}(i)
+	}
+	close(gate)
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("call %d of %d at half-open: %v", i, n, err)
 		}
 	}
-	if m.Hedges.With("won").Value() == 0 {
-		t.Fatal("no hedge ever won despite a 150ms-slow primary")
+	if got := hellos() - hellosBefore; got != 1 {
+		t.Fatalf("%d hellos reached the recovered peer, want one shared probe", got)
 	}
-}
-
-// slowListener delays responses by sleeping before the handshake's
-// first server write (wrapping each accepted conn with a write delay).
-type slowListener struct {
-	net.Listener
-	delay time.Duration
-}
-
-func (l *slowListener) Accept() (net.Conn, error) {
-	conn, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
+	if got := m.Retries.Value() - retriesBefore; got != 0 {
+		t.Fatalf("%d retries: some calls were refused at half-open", got)
 	}
-	return &slowConn{Conn: conn, delay: l.delay}, nil
-}
-
-type slowConn struct {
-	net.Conn
-	delay time.Duration
-}
-
-func (c *slowConn) Write(p []byte) (int, error) {
-	time.Sleep(c.delay)
-	return c.Conn.Write(p)
+	if p.breaker.State() != retry.Closed || !p.breaker.Probeable() || c.CoverageFloor() != 1 {
+		t.Fatalf("after the probe: state %v probeable %v floor %v, want closed/true/1",
+			p.breaker.State(), p.breaker.Probeable(), c.CoverageFloor())
+	}
 }

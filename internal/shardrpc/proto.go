@@ -1,11 +1,11 @@
 // Package shardrpc promotes shard.ShardServer to a network boundary: a
 // Server wraps the in-process shard.Local behind a length-prefixed TCP
 // protocol, and a Client implements shard.ShardServer over a fleet of
-// replica peers with retries, failover, hedging, and per-peer circuit
-// breakers. The protocol inherits the shard package's statelessness —
-// every request is a pure function of the immutable plan — which is what
-// makes every resilience trick sound: a retried, duplicated, or hedged
-// request returns the same answer from any replica (DESIGN.md §9.5).
+// replica peers with retries, failover, and per-peer circuit breakers.
+// The protocol inherits the shard package's statelessness — every
+// request is a pure function of the immutable plan — which is what makes
+// every resilience trick sound: a retried or duplicated request returns
+// the same answer from any replica (DESIGN.md §9.4).
 //
 // Wire format (all integers little-endian):
 //
@@ -19,6 +19,11 @@
 // Verify requests carry the graph digest the caller planned against; a
 // peer serving different data answers errStale rather than a wrong
 // answer, so replicas can never silently mix graph versions.
+//
+// There is one protocol version. The hello carries it both ways, and
+// either side refuses a peer that speaks another one with
+// ErrCodeVersion. Like a stale digest, that keeps the peer's breaker
+// closed; unlike it, the client then routes no data call to the peer.
 package shardrpc
 
 import (
@@ -33,10 +38,7 @@ import (
 	"bigindex/internal/shard"
 )
 
-// Message types. msgStats/msgStatsOK postdate the first protocol
-// release: a pre-capability peer's readFrame rejects them as unknown
-// types and kills the connection, so the client only ever sends msgStats
-// to a peer that advertised capStats in the hello exchange.
+// Message types.
 const (
 	msgHello     = 1
 	msgHelloOK   = 2
@@ -48,29 +50,12 @@ const (
 	msgStats     = 8
 	msgStatsOK   = 9
 	msgTypeCount = 10
-
-	// legacyMsgTypeCount is where the pre-capability protocol ended;
-	// ServerOptions.LegacyProto emulates that vintage for compat tests.
-	legacyMsgTypeCount = 8
 )
 
-// Capability bits, negotiated in the hello exchange. The client sends its
-// capability set as the (previously empty) hello payload; the server
-// answers with the intersection appended to the HelloOK payload. Both
-// sides treat a missing set as zero, so a new client interoperates with a
-// pre-capability server and vice versa: optional protocol features only
-// engage when both ends advertised them.
-const (
-	// capTelemetry: Expand/Verify requests may carry a telemetry tail
-	// (trace ID, parent span, sampling decision) and responses to such
-	// requests carry a remote span/ledger summary tail.
-	capTelemetry = 1 << 0
-	// capStats: the peer answers the msgStats resource/health probe.
-	capStats = 1 << 1
-
-	// localCaps is everything this build supports.
-	localCaps = capTelemetry | capStats
-)
+// protoVersion is the wire protocol this build speaks, sent in the hello
+// and echoed in HelloOK. Bump it on any change to the frame or payload
+// layouts.
+const protoVersion = 1
 
 // Remote error codes.
 const (
@@ -81,6 +66,10 @@ const (
 	ErrCodeBadRequest = 2
 	// ErrCodeInternal: the peer failed to serve a well-formed request.
 	ErrCodeInternal = 3
+	// ErrCodeVersion: the peer speaks a different protocol version. The
+	// server answers a wrong-version hello with it, and the client raises
+	// it for a HelloOK whose version differs from its own.
+	ErrCodeVersion = 4
 )
 
 // maxFrame caps a frame body — far above any realistic round, small
@@ -100,12 +89,14 @@ func (e *RemoteError) Error() string {
 
 // HelloInfo is what a peer advertises about the data it serves. The
 // client matches Digest/Blocks/BlockSize against its plan before routing
-// rounds to the peer.
+// rounds to the peer, and Version against its own protocol version
+// before sending it any data call.
 type HelloInfo struct {
 	Digest    uint64
 	Blocks    int
 	BlockSize int
 	Vertices  int
+	Version   uint32
 }
 
 // frame is one decoded frame.
@@ -261,6 +252,24 @@ func (d *dec) done() error {
 }
 
 // --- payload codecs ---
+//
+// Requests and responses may carry a tail after their base fields: a
+// telemetry header on Expand/Verify, a span/ledger summary on their
+// responses. Decoders check the base for well-formedness, not full
+// consumption, and a tail that fails to parse is dropped — never an
+// error — so telemetry can degrade but the answer path cannot.
+
+func encodeHello(version uint32) []byte {
+	var e enc
+	e.u32(version)
+	return e.b
+}
+
+func decodeHello(p []byte) (uint32, error) {
+	d := dec{b: p}
+	v := d.u32()
+	return v, d.done()
+}
 
 func encodeHelloOK(info HelloInfo) []byte {
 	var e enc
@@ -268,6 +277,7 @@ func encodeHelloOK(info HelloInfo) []byte {
 	e.u32(uint32(info.Blocks))
 	e.u32(uint32(info.BlockSize))
 	e.u64(uint64(info.Vertices))
+	e.u32(info.Version)
 	return e.b
 }
 
@@ -278,6 +288,7 @@ func decodeHelloOK(p []byte) (HelloInfo, error) {
 		Blocks:    int(d.u32()),
 		BlockSize: int(d.u32()),
 		Vertices:  int(d.u64()),
+		Version:   d.u32(),
 	}
 	return info, d.done()
 }
@@ -290,18 +301,6 @@ func encodeExpand(digest uint64, req *shard.ExpandRequest) []byte {
 	e.u32(uint32(req.Level))
 	e.vs(req.Frontier)
 	return e.b
-}
-
-func decodeExpand(p []byte) (digest uint64, req *shard.ExpandRequest, err error) {
-	d := dec{b: p}
-	digest = d.u64()
-	req = &shard.ExpandRequest{
-		Kw:    int(d.u32()),
-		Block: int(d.u32()),
-	}
-	req.Level = int32(d.u32())
-	req.Frontier = d.vs()
-	return digest, req, d.done()
 }
 
 func encodeExpandOK(resp *shard.ExpandResponse) []byte {
@@ -318,25 +317,6 @@ func encodeExpandOK(resp *shard.ExpandResponse) []byte {
 	return e.b
 }
 
-func decodeExpandOK(p []byte) (*shard.ExpandResponse, error) {
-	d := dec{b: p}
-	resp := &shard.ExpandResponse{
-		Kw:    int(d.u32()),
-		Block: int(d.u32()),
-		Local: d.vs(),
-	}
-	n := d.count(8)
-	if n > 0 {
-		resp.Outbox = make([]shard.PortalMsg, n)
-		for i := range resp.Outbox {
-			resp.Outbox[i].V = graph.V(d.u32())
-			resp.Outbox[i].Block = int32(d.u32())
-		}
-	}
-	resp.Expanded = int(d.u32())
-	return resp, d.done()
-}
-
 func encodeVerify(digest uint64, req *shard.VerifyRequest) []byte {
 	var e enc
 	e.u64(digest)
@@ -347,21 +327,6 @@ func encodeVerify(digest uint64, req *shard.VerifyRequest) []byte {
 	}
 	e.vs(req.Roots)
 	return e.b
-}
-
-func decodeVerify(p []byte) (digest uint64, req *shard.VerifyRequest, err error) {
-	d := dec{b: p}
-	digest = d.u64()
-	req = &shard.VerifyRequest{DMax: int(d.u32())}
-	n := d.count(4)
-	if n > 0 {
-		req.Labels = make([]graph.Label, n)
-		for i := range req.Labels {
-			req.Labels[i] = graph.Label(d.u32())
-		}
-	}
-	req.Roots = d.vs()
-	return digest, req, d.done()
 }
 
 func encodeVerifyOK(resp *shard.VerifyResponse) []byte {
@@ -380,34 +345,6 @@ func encodeVerifyOK(resp *shard.VerifyResponse) []byte {
 	return e.b
 }
 
-func decodeVerifyOK(p []byte) (*shard.VerifyResponse, error) {
-	d := dec{b: p}
-	resp := &shard.VerifyResponse{Verified: int(d.u32())}
-	n := d.count(4)
-	if n > 0 {
-		resp.Matches = make([]search.Match, 0, n)
-		for i := 0; i < n && !d.bad; i++ {
-			m := search.Match{Root: graph.V(d.u32())}
-			nd := d.count(4)
-			sum := 0
-			if nd > 0 {
-				m.Dists = make([]int, nd)
-				for j := range m.Dists {
-					m.Dists[j] = int(d.u32())
-					sum += m.Dists[j]
-				}
-			}
-			// Score is Σdist by construction on both sides: recomputing
-			// it here keeps floats off the wire with zero drift (small
-			// integer sums are exact in float64).
-			m.Score = float64(sum)
-			m.Nodes = d.vs()
-			resp.Matches = append(resp.Matches, m)
-		}
-	}
-	return resp, d.done()
-}
-
 func encodeErr(code int, msg string) []byte {
 	var e enc
 	e.u8(byte(code))
@@ -424,69 +361,11 @@ func decodeErr(p []byte) error {
 	return re
 }
 
-// --- capability / telemetry tails ---
-//
-// Optional protocol extensions ride as *tails* appended after a message's
-// base payload. Base decoders consume exactly the base fields and ignore
-// trailing bytes (dec.done checks well-formedness, not full consumption),
-// which is the whole backward-compatibility story: a pre-capability peer
-// decodes the base and never notices the tail, and a tail that fails to
-// parse is dropped — never an error — so telemetry can degrade but the
-// answer path cannot.
+// --- telemetry tails ---
 
-// encodeHello renders the client's capability advertisement. A
-// pre-capability client sends an empty hello payload, which decodes as
-// caps 0.
-func encodeHello(caps uint32) []byte {
-	var e enc
-	e.u32(caps)
-	return e.b
-}
-
-// decodeHelloCaps reads the capability set from a hello payload; an
-// empty or malformed payload is a pre-capability client (caps 0).
-func decodeHelloCaps(p []byte) uint32 {
-	if len(p) < 4 {
-		return 0
-	}
-	d := dec{b: p}
-	return d.u32()
-}
-
-// encodeHelloOKCaps is encodeHelloOK with the negotiated capability set
-// appended as a tail. Old clients decode the base fields and ignore it.
-func encodeHelloOKCaps(info HelloInfo, caps uint32) []byte {
-	b := encodeHelloOK(info)
-	var e enc
-	e.b = b
-	e.u32(caps)
-	return e.b
-}
-
-// decodeHelloOKCaps decodes a HelloOK plus the optional capability tail
-// (0 when the server predates capabilities or the tail is malformed).
-func decodeHelloOKCaps(p []byte) (HelloInfo, uint32, error) {
-	d := dec{b: p}
-	info := HelloInfo{
-		Digest:    d.u64(),
-		Blocks:    int(d.u32()),
-		BlockSize: int(d.u32()),
-		Vertices:  int(d.u64()),
-	}
-	if err := d.done(); err != nil {
-		return HelloInfo{}, 0, err
-	}
-	var caps uint32
-	if d.off+4 <= len(d.b) {
-		caps = d.u32()
-	}
-	return info, caps, nil
-}
-
-// Telemetry is the trace context a request carries over the wire when
-// both ends negotiated capTelemetry: enough for the peer to run its own
-// sampled span/ledger and for the coordinator to stitch the result back
-// under the right trace.
+// Telemetry is the trace context a sampled request carries over the
+// wire: enough for the peer to run its own sampled span/ledger and for
+// the coordinator to stitch the result back under the right trace.
 type Telemetry struct {
 	TraceID    string
 	ParentSpan string
@@ -537,8 +416,8 @@ func decodeTelemetryTail(d *dec) *Telemetry {
 	return tel
 }
 
-// decodeExpandFull is decodeExpand plus the optional telemetry tail.
-func decodeExpandFull(p []byte) (digest uint64, req *shard.ExpandRequest, tel *Telemetry, err error) {
+// decodeExpand decodes an Expand request and its optional telemetry tail.
+func decodeExpand(p []byte) (digest uint64, req *shard.ExpandRequest, tel *Telemetry, err error) {
 	d := dec{b: p}
 	digest = d.u64()
 	req = &shard.ExpandRequest{
@@ -553,8 +432,8 @@ func decodeExpandFull(p []byte) (digest uint64, req *shard.ExpandRequest, tel *T
 	return digest, req, decodeTelemetryTail(&d), nil
 }
 
-// decodeVerifyFull is decodeVerify plus the optional telemetry tail.
-func decodeVerifyFull(p []byte) (digest uint64, req *shard.VerifyRequest, tel *Telemetry, err error) {
+// decodeVerify decodes a Verify request and its optional telemetry tail.
+func decodeVerify(p []byte) (digest uint64, req *shard.VerifyRequest, tel *Telemetry, err error) {
 	d := dec{b: p}
 	digest = d.u64()
 	req = &shard.VerifyRequest{DMax: int(d.u32())}
@@ -602,8 +481,9 @@ func decodeSummaryTail(d *dec) []byte {
 	return []byte(s)
 }
 
-// decodeExpandOKFull is decodeExpandOK plus the optional summary tail.
-func decodeExpandOKFull(p []byte) (*shard.ExpandResponse, []byte, error) {
+// decodeExpandOK decodes an ExpandOK response and its optional summary
+// tail.
+func decodeExpandOK(p []byte) (*shard.ExpandResponse, []byte, error) {
 	d := dec{b: p}
 	resp := &shard.ExpandResponse{
 		Kw:    int(d.u32()),
@@ -625,8 +505,9 @@ func decodeExpandOKFull(p []byte) (*shard.ExpandResponse, []byte, error) {
 	return resp, decodeSummaryTail(&d), nil
 }
 
-// decodeVerifyOKFull is decodeVerifyOK plus the optional summary tail.
-func decodeVerifyOKFull(p []byte) (*shard.VerifyResponse, []byte, error) {
+// decodeVerifyOK decodes a VerifyOK response and its optional summary
+// tail.
+func decodeVerifyOK(p []byte) (*shard.VerifyResponse, []byte, error) {
 	d := dec{b: p}
 	resp := &shard.VerifyResponse{Verified: int(d.u32())}
 	n := d.count(4)
@@ -643,6 +524,9 @@ func decodeVerifyOKFull(p []byte) (*shard.VerifyResponse, []byte, error) {
 					sum += m.Dists[j]
 				}
 			}
+			// Score is Σdist by construction on both sides: recomputing
+			// it here keeps floats off the wire with zero drift (small
+			// integer sums are exact in float64).
 			m.Score = float64(sum)
 			m.Nodes = d.vs()
 			resp.Matches = append(resp.Matches, m)
@@ -660,7 +544,7 @@ func decodeVerifyOKFull(p []byte) (*shard.VerifyResponse, []byte, error) {
 // resource gauges and serve counters the coordinator's /debug/fleet
 // aggregates across the fleet. Carried as JSON — the probe is a debug
 // surface, not a hot path, and JSON lets either side grow fields without
-// another wire rev.
+// another protocol version.
 type StatsInfo struct {
 	Digest       string `json:"digest"`
 	Blocks       int    `json:"blocks"`

@@ -72,7 +72,14 @@ func TestReadFrameRejectsHostileHeaders(t *testing.T) {
 }
 
 func TestHelloCodec(t *testing.T) {
-	want := HelloInfo{Digest: 0xDEADBEEFCAFE, Blocks: 17, BlockSize: 200, Vertices: 123456}
+	v, err := decodeHello(encodeHello(protoVersion))
+	if err != nil || v != protoVersion {
+		t.Fatalf("hello version %d (err %v), want %d", v, err, protoVersion)
+	}
+	if _, err := decodeHello(nil); err == nil {
+		t.Fatal("hello without a version accepted")
+	}
+	want := HelloInfo{Digest: 0xDEADBEEFCAFE, Blocks: 17, BlockSize: 200, Vertices: 123456, Version: protoVersion}
 	got, err := decodeHelloOK(encodeHelloOK(want))
 	if err != nil {
 		t.Fatal(err)
@@ -87,12 +94,12 @@ func TestExpandCodec(t *testing.T) {
 		{Kw: 2, Block: 5, Level: 3, Frontier: []graph.V{1, 9, 200000}},
 		{Kw: 0, Block: 0, Level: 0, Frontier: nil},
 	} {
-		digest, got, err := decodeExpand(encodeExpand(0x1234, req))
+		digest, got, tel, err := decodeExpand(encodeExpand(0x1234, req))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if digest != 0x1234 || !reflect.DeepEqual(got, req) {
-			t.Fatalf("got (%x, %+v) want (1234, %+v)", digest, got, req)
+		if digest != 0x1234 || !reflect.DeepEqual(got, req) || tel != nil {
+			t.Fatalf("got (%x, %+v, %+v) want (1234, %+v, nil)", digest, got, tel, req)
 		}
 	}
 }
@@ -102,24 +109,24 @@ func TestExpandOKCodec(t *testing.T) {
 		{Kw: 1, Block: 2, Local: []graph.V{3, 4}, Outbox: []shard.PortalMsg{{V: 9, Block: 1}, {V: 10, Block: 0}}, Expanded: 7},
 		{Kw: 0, Block: 0, Local: nil, Outbox: nil, Expanded: 0},
 	} {
-		got, err := decodeExpandOK(encodeExpandOK(resp))
+		got, summary, err := decodeExpandOK(encodeExpandOK(resp))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, resp) {
-			t.Fatalf("got %+v want %+v", got, resp)
+		if !reflect.DeepEqual(got, resp) || summary != nil {
+			t.Fatalf("got %+v (summary %q) want %+v", got, summary, resp)
 		}
 	}
 }
 
 func TestVerifyCodec(t *testing.T) {
 	req := &shard.VerifyRequest{Labels: []graph.Label{1, 2, 3}, DMax: 4, Roots: []graph.V{7, 8}}
-	digest, got, err := decodeVerify(encodeVerify(99, req))
+	digest, got, tel, err := decodeVerify(encodeVerify(99, req))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if digest != 99 || !reflect.DeepEqual(got, req) {
-		t.Fatalf("got (%d, %+v)", digest, got)
+	if digest != 99 || !reflect.DeepEqual(got, req) || tel != nil {
+		t.Fatalf("got (%d, %+v, %+v)", digest, got, tel)
 	}
 }
 
@@ -131,12 +138,12 @@ func TestVerifyOKCodecRecomputesScore(t *testing.T) {
 			{Root: 9, Dists: []int{1}, Score: 1, Nodes: []graph.V{9}},
 		},
 	}
-	got, err := decodeVerifyOK(encodeVerifyOK(resp))
+	got, summary, err := decodeVerifyOK(encodeVerifyOK(resp))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, resp) {
-		t.Fatalf("got %+v want %+v", got, resp)
+	if !reflect.DeepEqual(got, resp) || summary != nil {
+		t.Fatalf("got %+v (summary %q) want %+v", got, summary, resp)
 	}
 }
 
@@ -156,14 +163,66 @@ func TestDecoderRejectsHostileCounts(t *testing.T) {
 	e.u32(0x7FFFFFFF) // Local count way beyond the bytes that follow
 	e.u32(1)
 	hostile := append(encodeExpandOK(&shard.ExpandResponse{})[:8], e.b...)
-	if _, err := decodeExpandOK(hostile); err == nil {
+	if _, _, err := decodeExpandOK(hostile); err == nil {
 		t.Fatal("hostile element count accepted")
 	}
 	// Truncated payloads across every codec.
-	full := encodeExpandOK(&shard.ExpandResponse{Local: []graph.V{1, 2, 3}, Expanded: 3})
-	for cut := 1; cut < len(full); cut++ {
-		if _, err := decodeExpandOK(full[:cut]); err == nil {
-			t.Fatalf("truncation at %d accepted", cut)
+	for _, c := range codecSeeds() {
+		for cut := 0; cut < len(c.base); cut++ {
+			if c.decode(c.base[:cut]) == nil {
+				t.Fatalf("%s: truncation at %d accepted", c.name, cut)
+			}
 		}
+	}
+}
+
+// codecSeed is one real encoding per message type: base is the payload
+// without any tail, decode runs that type's decoder and returns its error.
+type codecSeed struct {
+	name   string
+	mt     byte
+	base   []byte
+	decode func([]byte) error
+}
+
+func codecSeeds() []codecSeed {
+	return []codecSeed{
+		{"hello", msgHello, encodeHello(protoVersion), func(p []byte) error {
+			_, err := decodeHello(p)
+			return err
+		}},
+		{"helloOK", msgHelloOK, encodeHelloOK(HelloInfo{Digest: 7, Blocks: 3, BlockSize: 64, Vertices: 90, Version: protoVersion}), func(p []byte) error {
+			_, err := decodeHelloOK(p)
+			return err
+		}},
+		{"expand", msgExpand, encodeExpand(0x1234, &shard.ExpandRequest{Kw: 1, Block: 2, Level: 3, Frontier: []graph.V{4, 5, 6}}), func(p []byte) error {
+			_, _, _, err := decodeExpand(p)
+			return err
+		}},
+		{"expandOK", msgExpandOK, encodeExpandOK(&shard.ExpandResponse{Kw: 1, Block: 2, Local: []graph.V{1, 2, 3},
+			Outbox: []shard.PortalMsg{{V: 9, Block: 1}}, Expanded: 3}), func(p []byte) error {
+			_, _, err := decodeExpandOK(p)
+			return err
+		}},
+		{"verify", msgVerify, encodeVerify(99, &shard.VerifyRequest{Labels: []graph.Label{1, 2}, DMax: 4, Roots: []graph.V{7, 8}}), func(p []byte) error {
+			_, _, _, err := decodeVerify(p)
+			return err
+		}},
+		{"verifyOK", msgVerifyOK, encodeVerifyOK(&shard.VerifyResponse{Verified: 2, Matches: []search.Match{
+			{Root: 5, Dists: []int{0, 2}, Score: 2, Nodes: []graph.V{5, 6}}}}), func(p []byte) error {
+			_, _, err := decodeVerifyOK(p)
+			return err
+		}},
+		{"err", msgErr, encodeErr(ErrCodeStale, "digest mismatch"), func(p []byte) error {
+			var re *RemoteError
+			if err := decodeErr(p); !errors.As(err, &re) {
+				return err
+			}
+			return nil
+		}},
+		{"statsOK", msgStatsOK, encodeStatsOK(StatsInfo{Digest: "00ff", Blocks: 3, GOMAXPROCS: 2, Expands: 5}), func(p []byte) error {
+			_, err := decodeStatsOK(p)
+			return err
+		}},
 	}
 }

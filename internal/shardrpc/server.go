@@ -29,13 +29,6 @@ type ServerOptions struct {
 	// (0 = shard.DefaultBlockSize). The client cross-checks it so both
 	// sides provably derived the same deterministic partition.
 	BlockSize int
-	// LegacyProto makes the server behave like a pre-capability build:
-	// no capability tail in the hello, telemetry tails ignored, no
-	// summaries, and post-legacy message types kill the connection the
-	// way the old readFrame did. Compatibility tests and mixed-fleet
-	// benches use it to prove a new coordinator interoperates with an
-	// old peer byte for byte.
-	LegacyProto bool
 	// Logger receives per-connection protocol errors. Nil discards.
 	Logger *slog.Logger
 }
@@ -97,6 +90,7 @@ func (s *Server) Hello() HelloInfo {
 		Blocks:    s.plan.NumBlocks(),
 		BlockSize: s.opt.BlockSize,
 		Vertices:  s.plan.Graph().NumVertices(),
+		Version:   protoVersion,
 	}
 }
 
@@ -197,14 +191,6 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 			return
 		}
-		if s.opt.LegacyProto && fr.msgType >= legacyMsgTypeCount {
-			// A pre-capability readFrame rejected unknown types as a hard
-			// protocol error and killed the connection; the emulation must
-			// fail the same way or compat tests would pass vacuously.
-			s.opt.Logger.Debug("shardrpc: legacy emulation dropping connection on unknown type",
-				"remote", conn.RemoteAddr(), "type", fr.msgType)
-			return
-		}
 		mt, payload := s.handle(fr)
 		if err := writeFrame(w, mt, fr.reqID, payload); err != nil {
 			return
@@ -229,14 +215,14 @@ func (s *Server) handle(fr frame) (byte, []byte) {
 func (s *Server) handleMsg(fr frame) (byte, []byte) {
 	switch fr.msgType {
 	case msgHello:
-		if s.opt.LegacyProto {
-			return msgHelloOK, encodeHelloOK(s.Hello())
+		if v, err := decodeHello(fr.payload); err != nil || v != protoVersion {
+			return msgErr, encodeErr(ErrCodeVersion,
+				fmt.Sprintf("hello for protocol version %d, server speaks %d", v, protoVersion))
 		}
-		clientCaps := decodeHelloCaps(fr.payload)
-		return msgHelloOK, encodeHelloOKCaps(s.Hello(), localCaps&clientCaps)
+		return msgHelloOK, encodeHelloOK(s.Hello())
 
 	case msgExpand:
-		digest, req, tel, err := decodeExpandFull(fr.payload)
+		digest, req, tel, err := decodeExpand(fr.payload)
 		if err != nil {
 			return msgErr, encodeErr(ErrCodeBadRequest, err.Error())
 		}
@@ -268,7 +254,7 @@ func (s *Server) handleMsg(fr frame) (byte, []byte) {
 		return msgExpandOK, out
 
 	case msgVerify:
-		digest, req, tel, err := decodeVerifyFull(fr.payload)
+		digest, req, tel, err := decodeVerify(fr.payload)
 		if err != nil {
 			return msgErr, encodeErr(ErrCodeBadRequest, err.Error())
 		}
@@ -292,9 +278,6 @@ func (s *Server) handleMsg(fr frame) (byte, []byte) {
 		return msgVerifyOK, out
 
 	case msgStats:
-		if s.opt.LegacyProto {
-			return msgErr, encodeErr(ErrCodeBadRequest, "unexpected message type 8")
-		}
 		return msgStatsOK, encodeStatsOK(s.stats())
 
 	default:
@@ -317,7 +300,7 @@ type RemoteSummary struct {
 // call path is the pre-telemetry one.
 func (s *Server) beginCall(tel *Telemetry, name string) (context.Context, *obs.Span, *obs.Ledger) {
 	ctx := context.Background()
-	if s.opt.LegacyProto || tel == nil || !tel.Sampled {
+	if tel == nil || !tel.Sampled {
 		return ctx, nil, nil
 	}
 	sp := obs.NewTrace(name).Root()

@@ -3,14 +3,17 @@ package shardrpc
 import (
 	"bufio"
 	"context"
+	"errors"
 	"net"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"bigindex/internal/faultio"
 	"bigindex/internal/graph"
 	"bigindex/internal/obs"
+	"bigindex/internal/retry"
 	"bigindex/internal/search"
 	"bigindex/internal/shard"
 )
@@ -38,26 +41,82 @@ func findSpan(sj obs.SpanJSON, name string) *obs.SpanJSON {
 	return nil
 }
 
-// TestHelloCapsNegotiation: a current client negotiates the full
-// capability set with a current server, and zero with a legacy one.
-func TestHelloCapsNegotiation(t *testing.T) {
+// TestHelloVersionMismatch pins the one-version rule on both sides. The
+// server refuses a hello for another version with ErrCodeVersion. A real
+// Client facing a raw-TCP peer whose HelloOK carries a bumped version gets
+// the same typed error, routes no data call to that peer, keeps its
+// breaker closed (the peer answered, so it is alive), and does not count
+// the fleet as serving the plan.
+func TestHelloVersionMismatch(t *testing.T) {
 	g := testGraph(30, 60)
 	plan := testPlan(t, g, 16)
-	_, modern := startServer(t, plan, ServerOptions{})
-	_, legacy := startServer(t, plan, ServerOptions{LegacyProto: true})
+	srv := NewServer(plan, ServerOptions{})
 
-	c := NewClient(ClientOptions{Peers: mustPeers(t, modern+";"+legacy)})
-	defer c.Close()
-	for _, p := range c.peers {
-		if _, err := c.helloPeer(p); err != nil {
-			t.Fatalf("hello %s: %v", p.addr, err)
+	mt, out := srv.handle(frame{msgType: msgHello, reqID: 1, payload: encodeHello(protoVersion + 1)})
+	var re *RemoteError
+	if err := decodeErr(out); mt != msgErr || !errors.As(err, &re) || re.Code != ErrCodeVersion {
+		t.Fatalf("wrong-version hello answered type %d: %v", mt, decodeErr(out))
+	}
+	mt, out = srv.handle(frame{msgType: msgHello, reqID: 2, payload: encodeHello(protoVersion)})
+	if info, err := decodeHelloOK(out); mt != msgHelloOK || err != nil || info != srv.Hello() {
+		t.Fatalf("hello answered type %d: %+v (%v), want %+v", mt, info, err, srv.Hello())
+	}
+
+	bumped := srv.Hello()
+	bumped.Version++
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	var hellos, dataCalls atomic.Int64
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func(conn net.Conn) {
+				defer conn.Close()
+				r, w := bufio.NewReader(conn), bufio.NewWriter(conn)
+				for {
+					fr, err := readFrame(r)
+					if err != nil {
+						return
+					}
+					if fr.msgType == msgHello {
+						hellos.Add(1)
+						writeFrame(w, msgHelloOK, fr.reqID, encodeHelloOK(bumped))
+					} else {
+						dataCalls.Add(1)
+						writeFrame(w, msgErr, fr.reqID, encodeErr(ErrCodeInternal, "data call reached a wrong-version peer"))
+					}
+					if w.Flush() != nil {
+						return
+					}
+				}
+			}(conn)
 		}
+	}()
+
+	c := NewClient(ClientOptions{Peers: mustPeers(t, ln.Addr().String()), CallTimeout: 300 * time.Millisecond})
+	defer c.Close()
+	if c.ServesPlan(plan) {
+		t.Fatal("a fleet whose only peer speaks another version serves the plan")
 	}
-	if got := c.peers[0].caps.Load(); got != localCaps {
-		t.Fatalf("modern peer caps = %#x, want %#x", got, localCaps)
+	req := &shard.ExpandRequest{Kw: 0, Block: 0, Level: 0, Frontier: seedFrontier(plan, g.DistinctLabels()[0], 0)}
+	_, err = c.For(plan).Expand(context.Background(), req)
+	if !errors.As(err, &re) || re.Code != ErrCodeVersion {
+		t.Fatalf("expand against a wrong-version peer: %v, want ErrCodeVersion", err)
 	}
-	if got := c.peers[1].caps.Load(); got != 0 {
-		t.Fatalf("legacy peer caps = %#x, want 0", got)
+	if hellos.Load() == 0 {
+		t.Fatal("no hello reached the peer")
+	}
+	if n := dataCalls.Load(); n != 0 {
+		t.Fatalf("%d data calls routed to a wrong-version peer", n)
+	}
+	if st := c.peers[0].breaker.State(); st != retry.Closed {
+		t.Fatalf("breaker %v after version mismatch, want closed", st)
 	}
 }
 
@@ -127,28 +186,25 @@ func TestTelemetryStitching(t *testing.T) {
 	}
 }
 
-// TestTelemetryByteIdenticalAcrossModes compares Expand/Verify responses
-// across telemetry off, telemetry on, and a mixed fleet where the peer is
-// a legacy build: the standing invariant is byte-identical answers.
+// TestTelemetryByteIdenticalAcrossModes compares Expand responses across
+// telemetry off and telemetry on: the standing invariant is
+// byte-identical answers.
 func TestTelemetryByteIdenticalAcrossModes(t *testing.T) {
 	g := testGraph(32, 80)
 	plan := testPlan(t, g, 16)
-	_, modern := startServer(t, plan, ServerOptions{})
-	_, legacy := startServer(t, plan, ServerOptions{LegacyProto: true})
+	_, addr := startServer(t, plan, ServerOptions{})
 
 	type mode struct {
 		name   string
-		addr   string
 		sample float64
 	}
 	modes := []mode{
-		{"telemetry-off", modern, 0},
-		{"telemetry-on", modern, 1},
-		{"telemetry-on-legacy-peer", legacy, 1},
+		{"telemetry-off", 0},
+		{"telemetry-on", 1},
 	}
 	var baseline []*shard.ExpandResponse
 	for _, m := range modes {
-		c := NewClient(ClientOptions{Peers: mustPeers(t, m.addr), TelemetrySample: m.sample})
+		c := NewClient(ClientOptions{Peers: mustPeers(t, addr), TelemetrySample: m.sample})
 		bnd := c.For(plan)
 		ctx, _, _ := tracedCtx()
 		var out []*shard.ExpandResponse
@@ -171,10 +227,12 @@ func TestTelemetryByteIdenticalAcrossModes(t *testing.T) {
 	}
 }
 
-// TestOldClientNewServer speaks the pre-capability protocol over a raw
-// TCP connection — empty hello payload, no telemetry tails — and checks
-// the new server's ExpandOK payload is byte-identical to the base
-// encoding: no tail may appear unless the request carried telemetry.
+// TestOldClientNewServer speaks the pre-version protocol over a raw TCP
+// connection — empty hello payload, no telemetry tails. The server must
+// answer the versionless hello with a typed ErrCodeVersion error rather
+// than drop the connection, keep the connection in sync, and answer an
+// untraced expand with the byte-identical base encoding: no tail may
+// appear unless the request carried telemetry.
 func TestOldClientNewServer(t *testing.T) {
 	g := testGraph(33, 60)
 	plan := testPlan(t, g, 16)
@@ -186,6 +244,9 @@ func TestOldClientNewServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
+	if err := conn.SetDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
 	r, w := bufio.NewReader(conn), bufio.NewWriter(conn)
 
 	roundTrip := func(mt byte, reqID uint64, payload []byte) frame {
@@ -200,18 +261,28 @@ func TestOldClientNewServer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if fr.reqID != reqID {
+			t.Fatalf("response reqID %d, want %d", fr.reqID, reqID)
+		}
 		return fr
 	}
 
-	// Old-style hello: nil payload. The base decoder must still read the
-	// HelloOK even though the new server appends a caps tail.
+	// Old-style hello: nil payload, so no version. A typed refusal, not a
+	// closed connection.
 	fr := roundTrip(msgHello, 1, nil)
+	var re *RemoteError
+	if err := decodeErr(fr.payload); fr.msgType != msgErr || !errors.As(err, &re) || re.Code != ErrCodeVersion {
+		t.Fatalf("versionless hello answered type %d: %v", fr.msgType, decodeErr(fr.payload))
+	}
+
+	// The same connection is still in sync: a versioned hello succeeds.
+	fr = roundTrip(msgHello, 2, encodeHello(protoVersion))
 	if fr.msgType != msgHelloOK {
 		t.Fatalf("hello answered with type %d", fr.msgType)
 	}
 	info, err := decodeHelloOK(fr.payload)
 	if err != nil {
-		t.Fatalf("old client cannot decode new HelloOK: %v", err)
+		t.Fatal(err)
 	}
 	if info != srv.Hello() {
 		t.Fatalf("hello info %+v, want %+v", info, srv.Hello())
@@ -220,20 +291,21 @@ func TestOldClientNewServer(t *testing.T) {
 	// Old-style expand: no telemetry tail. The response payload must be
 	// byte-for-byte the base encoding.
 	req := &shard.ExpandRequest{Kw: 0, Block: 0, Level: 0, Frontier: seedFrontier(plan, g.DistinctLabels()[0], 0)}
-	fr = roundTrip(msgExpand, 2, encodeExpand(plan.Graph().Digest(), req))
+	fr = roundTrip(msgExpand, 3, encodeExpand(plan.Graph().Digest(), req))
 	if fr.msgType != msgExpandOK {
 		t.Fatalf("expand answered with type %d", fr.msgType)
 	}
 	want, _ := local.Expand(context.Background(), req)
 	if !reflect.DeepEqual(fr.payload, encodeExpandOK(want)) {
-		t.Fatalf("untraced response payload is not the base encoding (tail leaked to an old client)")
+		t.Fatalf("untraced response payload is not the base encoding (tail leaked to an untraced request)")
 	}
 }
 
 // TestTelemetryTailGarbageIgnored feeds the server expand payloads with
-// damaged trailing bytes — wrong magic, truncated tails, oversized trace
-// IDs — and checks the answer is always the correct base response: a
-// corrupted telemetry header may drop telemetry but never an answer.
+// no tail or damaged trailing bytes — wrong magic, truncated tails,
+// oversized trace IDs — and checks the answer is always the correct base
+// response: an untraced request gets no summary tail, and a corrupted
+// telemetry header may drop telemetry but never an answer.
 func TestTelemetryTailGarbageIgnored(t *testing.T) {
 	g := testGraph(34, 60)
 	plan := testPlan(t, g, 16)
@@ -247,6 +319,7 @@ func TestTelemetryTailGarbageIgnored(t *testing.T) {
 
 	goodTail := appendTelemetry(nil, &Telemetry{TraceID: "abc", ParentSpan: "query", Sampled: true})
 	tails := map[string][]byte{
+		"untraced":          nil,
 		"wrong-magic":       {0xde, 0xad, 0xbe, 0xef, 1, 2, 3},
 		"short-garbage":     {0x01},
 		"magic-only":        {0x31, 0x4c, 0x45, 0x54}, // telMagic LE, then nothing
@@ -261,7 +334,7 @@ func TestTelemetryTailGarbageIgnored(t *testing.T) {
 		if mt != msgExpandOK {
 			t.Fatalf("%s: answered type %d (telemetry damage must not fail the request)", name, mt)
 		}
-		resp, err := decodeExpandOK(out)
+		resp, _, err := decodeExpandOK(out)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -281,7 +354,7 @@ func TestTelemetryTailGarbageIgnored(t *testing.T) {
 	if mt != msgExpandOK {
 		t.Fatalf("valid tail: answered type %d", mt)
 	}
-	resp, summary, err := decodeExpandOKFull(out)
+	resp, summary, err := decodeExpandOK(out)
 	if err != nil || !reflect.DeepEqual(resp, want) {
 		t.Fatalf("valid tail: wrong answer (err=%v)", err)
 	}
@@ -291,15 +364,14 @@ func TestTelemetryTailGarbageIgnored(t *testing.T) {
 }
 
 // TestStatsAndFleetSnapshot checks the Stats RPC surfaces serve counters
-// through FleetSnapshot, and that a legacy peer is reported without stats
-// (and never sent the probe, which would kill its connection).
+// and the hello identity of every peer through FleetSnapshot.
 func TestStatsAndFleetSnapshot(t *testing.T) {
 	g := testGraph(35, 60)
 	plan := testPlan(t, g, 16)
-	_, modern := startServer(t, plan, ServerOptions{})
-	_, legacy := startServer(t, plan, ServerOptions{LegacyProto: true})
+	_, even := startServer(t, plan, ServerOptions{})
+	_, odd := startServer(t, plan, ServerOptions{})
 
-	c := NewClient(ClientOptions{Peers: mustPeers(t, modern+"=0%2;"+legacy+"=1%2")})
+	c := NewClient(ClientOptions{Peers: mustPeers(t, even+"=0%2;"+odd+"=1%2")})
 	defer c.Close()
 	bnd := c.For(plan)
 	req := &shard.ExpandRequest{Kw: 0, Block: 0, Level: 0, Frontier: seedFrontier(plan, g.DistinctLabels()[0], 0)}
@@ -311,21 +383,19 @@ func TestStatsAndFleetSnapshot(t *testing.T) {
 	if len(fleet) != 2 {
 		t.Fatalf("fleet rows = %d, want 2", len(fleet))
 	}
-	mod, leg := fleet[0], fleet[1]
-	if !mod.Telemetry || mod.Stats == nil {
-		t.Fatalf("modern peer row incomplete: %+v", mod)
+	for i, row := range fleet {
+		if row.Stats == nil {
+			t.Fatalf("peer %d row has no stats: %+v", i, row)
+		}
+		if row.Stats.Digest == "" || row.Stats.Blocks != plan.NumBlocks() || row.Stats.GOMAXPROCS == 0 {
+			t.Fatalf("peer %d stats incomplete: %+v", i, row.Stats)
+		}
+		if row.Digest == "" || row.NumBlocks != plan.NumBlocks() {
+			t.Fatalf("peer %d hello identity missing: %+v", i, row)
+		}
 	}
-	if mod.Stats.Expands < 1 {
-		t.Fatalf("modern peer stats did not count the expand: %+v", mod.Stats)
-	}
-	if mod.Stats.Digest == "" || mod.Stats.Blocks != plan.NumBlocks() || mod.Stats.GOMAXPROCS == 0 {
-		t.Fatalf("modern peer stats incomplete: %+v", mod.Stats)
-	}
-	if leg.Telemetry || leg.Stats != nil {
-		t.Fatalf("legacy peer must report no telemetry and no stats: %+v", leg)
-	}
-	if leg.Digest == "" || leg.NumBlocks != plan.NumBlocks() {
-		t.Fatalf("legacy peer hello identity missing: %+v", leg)
+	if fleet[0].Stats.Expands < 1 {
+		t.Fatalf("peer serving block 0 did not count the expand: %+v", fleet[0].Stats)
 	}
 }
 
